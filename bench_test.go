@@ -422,7 +422,7 @@ func benchParallelism(b *testing.B, prog *Program, store *Store) {
 		if par == 1 {
 			name = "sequential"
 		}
-		opts := &RunOptions{Parallelism: par}
+		opts := WithParallelism(par)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -517,7 +517,7 @@ func BenchmarkMediatorQuery(b *testing.B) {
 // --- E14: the trace layer ----------------------------------------------------
 
 // BenchmarkRunNilSink is the zero-overhead gate for the trace layer:
-// with Options.Trace nil the engine must construct no events, take no
+// with no trace sink the engine must construct no events, take no
 // timestamps and allocate nothing on behalf of tracing, so this must
 // stay within noise of the pre-trace engine (CI's bench-guard job
 // compares it against the merge base with benchstat).
@@ -526,7 +526,7 @@ func BenchmarkRunNilSink(b *testing.B) {
 	store := workload.BrochureStore(60, 3, 15, 42)
 	for _, par := range []int{1, 4} {
 		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
-			opts := &RunOptions{Parallelism: par}
+			opts := WithParallelism(par)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Run(prog, store, opts); err != nil {
@@ -549,7 +549,7 @@ func BenchmarkRunWithProfile(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				profile := NewTraceProfile()
-				if _, err := Run(prog, store, &RunOptions{Parallelism: par, Trace: profile}); err != nil {
+				if _, err := Run(prog, store, WithParallelism(par), WithTrace(profile)); err != nil {
 					b.Fatal(err)
 				}
 				if profile.Events() == 0 {

@@ -70,11 +70,11 @@ func mustProgram(src string) *yat.Program {
 }
 
 func mustRun(p *yat.Program, s *yat.Store) *yat.Result {
-	return mustRunOpts(p, s, &yat.RunOptions{Parallelism: *parallelism})
+	return mustRunOpts(p, s, yat.WithParallelism(*parallelism))
 }
 
-func mustRunOpts(p *yat.Program, s *yat.Store, opts *yat.RunOptions) *yat.Result {
-	r, err := yat.Run(p, s, opts)
+func mustRunOpts(p *yat.Program, s *yat.Store, opts ...yat.Option) *yat.Result {
+	r, err := yat.Run(p, s, opts...)
 	if err != nil {
 		panic(err)
 	}
@@ -240,8 +240,8 @@ func ePParallelSpeedup() {
 	}
 	fmt.Printf("eP  Parallel engine: sequential vs %d workers\n", workers)
 	fmt.Println("    workload            size  sequential  parallel  speedup")
-	seqOpts := &yat.RunOptions{}
-	parOpts := &yat.RunOptions{Parallelism: workers}
+	seqOpts := yat.WithParallelism(1)
+	parOpts := yat.WithParallelism(workers)
 
 	rules12 := mustProgram(yat.Rules1And2)
 	for _, n := range sizes([]int{20, 100}, []int{20, 100, 400}) {

@@ -96,13 +96,13 @@ func main() {
 	inputs, err := loadInputs(*inputFlag, *sgmlFlag, *dtdFlag)
 	fail(err)
 
-	var opts *yat.RunOptions
+	var opts []yat.Option
 	var profile *yat.TraceProfile
 	if *explainFlag {
 		profile = yat.NewTraceProfile()
-		opts = &yat.RunOptions{Trace: profile}
+		opts = append(opts, yat.WithTrace(profile))
 	}
-	result, err := yat.Run(prog, inputs, opts)
+	result, err := yat.Run(prog, inputs, opts...)
 	fail(err)
 	for _, w := range result.Warnings {
 		fmt.Fprintln(os.Stderr, "yatc: warning:", w)

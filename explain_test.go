@@ -89,7 +89,7 @@ func TestExplainGolden(t *testing.T) {
 			}
 			for _, par := range []int{1, 8} {
 				profile := NewTraceProfile()
-				if _, err := Run(prog, tc.inputs, &RunOptions{Trace: profile, Parallelism: par}); err != nil {
+				if _, err := Run(prog, tc.inputs, WithTrace(profile), WithParallelism(par)); err != nil {
 					t.Fatalf("parallelism=%d: %v", par, err)
 				}
 				if got := profile.Text(false); got != tc.want {
@@ -105,7 +105,7 @@ func TestExplainGolden(t *testing.T) {
 func TestExplainTimingMonotone(t *testing.T) {
 	prog, _ := BuiltinLibrary().Program("sgml2odmg")
 	profile := NewTraceProfile()
-	if _, err := Run(prog, workload.BrochureStore(10, 3, 6, 1), &RunOptions{Trace: profile}); err != nil {
+	if _, err := Run(prog, workload.BrochureStore(10, 3, 6, 1), WithTrace(profile)); err != nil {
 		t.Fatal(err)
 	}
 	total := profile.Wall()

@@ -11,11 +11,8 @@ import (
 	"yat/internal/yatl"
 )
 
-// ComposeOptions configures program composition. It predates the
-// functional-option form and is still accepted directly: a
-// *ComposeOptions is itself a ComposeOption that overwrites the whole
-// configuration, so legacy call sites keep working inside the
-// variadic Compose.
+// ComposeOptions is the configuration of one composition, folded from
+// a ComposeOption list by NewComposeOptions.
 type ComposeOptions struct {
 	Options
 	// SkipTypeCheck bypasses the §4.3 compatibility check (the output
@@ -28,16 +25,6 @@ type ComposeOptions struct {
 // mirroring the engine's Run/NewMediator option style.
 type ComposeOption interface {
 	applyCompose(*ComposeOptions)
-}
-
-// applyCompose makes the legacy struct usable as an option: it
-// replaces the accumulated configuration wholesale (matching its old
-// all-at-once semantics). A nil *ComposeOptions is a no-op, so
-// historical Compose(a, b, nil) call sites still compile and behave.
-func (o *ComposeOptions) applyCompose(dst *ComposeOptions) {
-	if o != nil {
-		*dst = *o
-	}
 }
 
 type composeOptionFunc func(*ComposeOptions)
@@ -62,8 +49,8 @@ func WithModel(m *pattern.Model) ComposeOption {
 	return composeOptionFunc(func(o *ComposeOptions) { o.Model = m })
 }
 
-// NewComposeOptions folds a variadic option list into the legacy
-// struct; nil options are skipped.
+// NewComposeOptions folds a variadic option list into one
+// configuration; nil options are skipped, later options win.
 func NewComposeOptions(opts ...ComposeOption) *ComposeOptions {
 	o := &ComposeOptions{}
 	for _, opt := range opts {

@@ -273,11 +273,11 @@ rule R {
 	inputs := tree.NewStore()
 	inputs.Put(tree.PlainName("d"), deep)
 	// Plenty of rounds: converges fine.
-	if _, err := Run(prog, inputs, &Options{MaxRounds: 100}); err != nil {
+	if _, err := Run(prog, inputs, WithMaxRounds(100)); err != nil {
 		t.Errorf("deep recursion should converge: %v", err)
 	}
 	// Starved of rounds: the guard fires.
-	if _, err := Run(prog, inputs, &Options{MaxRounds: 3}); err == nil ||
+	if _, err := Run(prog, inputs, WithMaxRounds(3)); err == nil ||
 		!strings.Contains(err.Error(), "did not converge") {
 		t.Errorf("round guard should fire, got %v", err)
 	}

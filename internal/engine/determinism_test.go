@@ -23,7 +23,7 @@ func TestUnconvertedDeterministicAcrossParallelism(t *testing.T) {
 	var wantMsg string
 	var wantIDs []string
 	for _, par := range []int{1, 4, 8} {
-		res, err := Run(prog, store, &Options{Parallelism: par})
+		res, err := Run(prog, store, WithParallelism(par))
 		var unc *ErrUnconverted
 		if !errors.As(err, &unc) {
 			t.Fatalf("parallelism=%d: expected ErrUnconverted, got %v", par, err)

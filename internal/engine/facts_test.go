@@ -459,8 +459,8 @@ func TestSliceForMemoAndPrune(t *testing.T) {
 }
 
 // TestRunWithFacts pins the engine integration: an optimized run is
-// byte-identical to a plain run, stale facts are ignored rather than
-// trusted, and WithOptimize(false) disables supplied facts.
+// byte-identical to a plain run, and stale facts are ignored rather
+// than trusted.
 func TestRunWithFacts(t *testing.T) {
 	src := "program p" + yatl.Rule1Source + yatl.Rule2Source
 	prog := yatl.MustParse(src)
@@ -493,23 +493,5 @@ func TestRunWithFacts(t *testing.T) {
 	}
 	if got := tree.FormatStore(stale.Outputs); got != want {
 		t.Errorf("stale facts changed outputs:\n got: %s\nwant: %s", got, want)
-	}
-
-	// The escape hatch wins over supplied facts.
-	off, err := Run(prog, store, WithFacts(facts), WithOptimize(false))
-	if err != nil {
-		t.Fatalf("disabled run: %v", err)
-	}
-	if got := tree.FormatStore(off.Outputs); got != want {
-		t.Errorf("WithOptimize(false) changed outputs:\n got: %s\nwant: %s", got, want)
-	}
-
-	// One-shot optimization without precomputed facts.
-	auto, err := Run(prog, store, WithOptimize(true))
-	if err != nil {
-		t.Fatalf("auto-optimized run: %v", err)
-	}
-	if got := tree.FormatStore(auto.Outputs); got != want {
-		t.Errorf("WithOptimize(true) changed outputs:\n got: %s\nwant: %s", got, want)
 	}
 }

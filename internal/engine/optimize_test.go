@@ -135,14 +135,6 @@ func TestOptimizedEquivalence(t *testing.T) {
 				if got := resultFingerprint(opt); got != want {
 					t.Errorf("facts run diverges @%d:\n got:\n%s\nwant:\n%s", par, got, want)
 				}
-				// The one-shot WithOptimize(true) path must agree too.
-				oneShot, err := Run(prog, c.inputs, WithParallelism(par), WithOptimize(true))
-				if err != nil {
-					t.Fatalf("one-shot @%d: %v", par, err)
-				}
-				if got := resultFingerprint(oneShot); got != want {
-					t.Errorf("WithOptimize run diverges @%d:\n got:\n%s\nwant:\n%s", par, got, want)
-				}
 			}
 		})
 	}

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"context"
-
 	"yat/internal/pattern"
 	"yat/internal/trace"
 )
@@ -11,10 +9,8 @@ import (
 //
 //	engine.Run(prog, inputs, engine.WithParallelism(8), engine.WithTrace(p))
 //
-// A literal *Options also satisfies Option (it replaces the whole
-// configuration), so call sites written against the older
-// `Run(prog, inputs, opts *Options)` signature — including
-// `Run(prog, inputs, nil)` — keep compiling and behaving identically.
+// A nil Option is skipped, so `Run(prog, inputs, nil)` runs with the
+// defaults.
 type Option interface {
 	// Apply writes the option into the configuration being built.
 	Apply(*Options)
@@ -25,18 +21,6 @@ type optionFunc func(*Options)
 
 // Apply implements Option.
 func (f optionFunc) Apply(o *Options) { f(o) }
-
-// Apply makes a legacy *Options value usable wherever an Option is
-// expected: it replaces the configuration wholesale. A nil receiver
-// (the old `Run(prog, inputs, nil)` idiom) applies the defaults.
-//
-// Deprecated: build configurations from With* options instead.
-func (o *Options) Apply(dst *Options) {
-	if o == nil {
-		return
-	}
-	*dst = *o
-}
 
 // mediatorOnly is implemented by options that configure a layer above
 // the engine (the mediator's WithDemandDriven and WithSources). Their
@@ -87,15 +71,6 @@ func WithTrace(s trace.Sink) Option {
 	return optionFunc(func(o *Options) { o.Trace = s })
 }
 
-// WithContext sets the run's cancellation context.
-//
-// Prefer RunContext, which takes the context as a first-class
-// parameter; this option exists so context can travel with an option
-// list.
-func WithContext(ctx context.Context) Option {
-	return optionFunc(func(o *Options) { o.Context = ctx })
-}
-
 // WithMaxRounds bounds the activation fixpoint (0 = default 10000).
 func WithMaxRounds(n int) Option {
 	return optionFunc(func(o *Options) { o.MaxRounds = n })
@@ -120,23 +95,13 @@ func WithDisableSafety(disable bool) Option {
 
 // WithFacts supplies precomputed program facts (AnalyzeProgram) to
 // the run: the dispatch index then replaces the linear rule scan of
-// the match phase. Facts are validated against the program being run
-// — stale facts from another program are ignored, not trusted. The
-// optimized run's outputs, warnings and statistics are byte-identical
-// to the unoptimized run's at every Parallelism setting.
+// the match phase. A run is optimized exactly when it has facts; a
+// run without them takes the linear scan, the reference the optimizer
+// is tested against. Facts are validated against the program being
+// run — stale facts from another program are ignored, not trusted.
+// The optimized run's outputs, warnings and statistics are
+// byte-identical to the unoptimized run's at every Parallelism
+// setting.
 func WithFacts(f *ProgramFacts) Option {
 	return optionFunc(func(o *Options) { o.Facts = f })
-}
-
-// WithOptimize toggles the fact-driven optimizer for a run that has
-// no precomputed facts: true computes facts at run start (one-shot
-// convenience; callers running a program repeatedly should compute
-// AnalyzeProgram once and pass WithFacts), false disables every
-// fact-driven optimization even when facts were supplied — the
-// debugging escape hatch.
-func WithOptimize(on bool) Option {
-	return optionFunc(func(o *Options) {
-		o.Optimize = on
-		o.NoOptimize = !on
-	})
 }

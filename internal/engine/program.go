@@ -43,17 +43,10 @@ type Options struct {
 	// engine merges their results in the order the sequential
 	// interpreter would have produced them.
 	Parallelism int
-	// Context cancels a run cooperatively: the engine checks it
-	// between rounds and between work batches and, once cancelled,
-	// stops and returns an error wrapping ctx.Err(). Nil means the
-	// run cannot be cancelled.
-	//
-	// Deprecated: pass the context first-class through RunContext (or
-	// WithContext); it overrides this field.
-	Context context.Context
 	// Facts are precomputed program facts (AnalyzeProgram): the
 	// dispatch index and dead-rule sets the run consumes. Facts
-	// computed from a different program value are ignored.
+	// computed from a different program value are ignored. A run
+	// without facts takes the linear rule scan.
 	Facts *ProgramFacts
 	// DeltaSeeds, when non-nil, switches the run to delta-evaluation
 	// mode: the activation fixpoint is seeded from these entries only,
@@ -63,12 +56,6 @@ type Options struct {
 	// refresh. See WithDeltaSeeds for the soundness preconditions the
 	// caller must establish.
 	DeltaSeeds *tree.Store
-	// Optimize computes facts at run start when none were supplied.
-	Optimize bool
-	// NoOptimize disables every fact-driven optimization, even when
-	// facts were supplied — the debugging escape hatch (see
-	// WithOptimize).
-	NoOptimize bool
 	// ignored lists the names of mediator-only options handed to this
 	// run (collected by NewOptions); the run reports them as warnings.
 	ignored []string
@@ -140,20 +127,18 @@ func (e *FixpointError) Error() string {
 // Skolem functions global to the program so rule order is irrelevant,
 // hierarchy dispatch per §4.2, and end-of-run dereferencing.
 //
-// Configuration is variadic: pass With* options, a legacy *Options
-// value, or nothing for the defaults.
+// Configuration is variadic: pass With* options, or nothing for the
+// defaults.
 func Run(prog *yatl.Program, inputs *tree.Store, opts ...Option) (*Result, error) {
-	return execute(prog, inputs, NewOptions(opts...), nil)
+	return execute(context.Background(), prog, inputs, NewOptions(opts...), nil)
 }
 
-// RunContext is Run with a first-class cancellation context. It
-// overrides any context carried in the options.
+// RunContext is Run under a cancellation context: the engine checks
+// it between rounds and between work batches and, once cancelled,
+// stops and returns an error wrapping ctx.Err(). A nil context means
+// the run cannot be cancelled.
 func RunContext(ctx context.Context, prog *yatl.Program, inputs *tree.Store, opts ...Option) (*Result, error) {
-	o := NewOptions(opts...)
-	if ctx != nil {
-		o.Context = ctx
-	}
-	return execute(prog, inputs, o, nil)
+	return execute(ctx, prog, inputs, NewOptions(opts...), nil)
 }
 
 // execute is the shared run core. With a nil slice it is a full run;
@@ -162,7 +147,7 @@ func RunContext(ctx context.Context, prog *yatl.Program, inputs *tree.Store, opt
 // diagnostics that assume every rule ran (dangling-reference warnings
 // and the §3.5 exception check — slices never contain exception
 // rules).
-func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (*Result, error) {
+func execute(ctx context.Context, prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (*Result, error) {
 	reg := opts.Registry
 	if reg == nil {
 		reg = NewRegistry()
@@ -183,7 +168,6 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 	if maxRounds <= 0 {
 		maxRounds = 10000
 	}
-	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -192,11 +176,8 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 	// sub-program shares its rules (by name), so full-program facts
 	// drive sub-program dispatch soundly.
 	facts := opts.Facts
-	if opts.NoOptimize || !facts.For(prog) {
+	if !facts.For(prog) {
 		facts = nil
-	}
-	if facts == nil && opts.Optimize && !opts.NoOptimize {
-		facts = AnalyzeProgram(prog)
 	}
 	// A slice run interprets the restricted sub-program: the slice's
 	// rules in declaration order, whole functor groups at a time, so

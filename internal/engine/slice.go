@@ -402,9 +402,6 @@ func RunSlice(ctx context.Context, prog *yatl.Program, inputs *tree.Store, sl *S
 		sl = ComputeSlice(prog)
 	}
 	o := NewOptions(opts...)
-	if ctx != nil {
-		o.Context = ctx
-	}
 	if o.Trace != nil {
 		start := time.Now()
 		defer func() {
@@ -412,7 +409,7 @@ func RunSlice(ctx context.Context, prog *yatl.Program, inputs *tree.Store, sl *S
 				Count: sl.Rules(), Detail: sl.String(), Duration: time.Since(start)})
 		}()
 	}
-	res, err := execute(prog, inputs, o, sl)
+	res, err := execute(ctx, prog, inputs, o, sl)
 	if err != nil {
 		return nil, err
 	}

@@ -220,7 +220,7 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 	// new inputs and swap it into the cache; unaffected groups stay.
 	out.fallback = true
 	out.reason = reason
-	res, runErr := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts, engine.WithFacts(st.facts))
+	res, runErr := engine.RunSlice(ctx, st.prog, inputs, sl, m.withFacts(st)...)
 	if runErr != nil {
 		g.lastErr = runErr
 		for _, f := range groups {
@@ -328,8 +328,8 @@ func (m *Mediator) insertPatch(ctx context.Context, st *progState, g *demandGen,
 	for _, e := range d.Inserted {
 		seeds.Put(e.Name, e.Tree)
 	}
-	res, err := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts,
-		engine.WithFacts(st.facts), engine.WithDeltaSeeds(seeds))
+	res, err := engine.RunSlice(ctx, st.prog, inputs, sl,
+		append(m.withFacts(st), engine.WithDeltaSeeds(seeds))...)
 	if err != nil {
 		return 0, false, err
 	}

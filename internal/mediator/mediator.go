@@ -22,13 +22,14 @@
 //
 // A Mediator is safe for concurrent use: a production mediator serves
 // many clients at once, so concurrent Ask/Get/Functors calls share a
-// single materialization (guarded by sync.Once, or by the demand
-// cache's lock) and then match against a consistent snapshot without
-// further locking.
+// single materialization (guarded by the generation's lock, or by the
+// demand cache's lock) and then match against a consistent snapshot
+// without further locking.
 package mediator
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -124,26 +125,39 @@ func (e *NotFoundError) Error() string {
 // fresh generation, so a query racing an invalidation keeps a
 // consistent view instead of observing a half-cleared cache.
 type generation struct {
-	once   sync.Once
+	mu     sync.Mutex // serializes runs; done publishes their outcome
 	done   atomic.Bool
 	result *engine.Result
 	err    error
 }
 
+// materialize runs the conversion at most once per generation;
+// concurrent callers wait on the same run and share its outcome. A
+// run cut short by its caller's context is not memoized: the outcome
+// says nothing about the generation, so the next caller runs again.
 func (g *generation) materialize(ctx context.Context, m *Mediator, st *progState) (*engine.Result, error) {
-	g.once.Do(func() {
-		inputs, err := m.fetchInputs(ctx)
-		if err != nil {
-			g.err = err
-			g.done.Store(true)
-			return
-		}
-		// The facts option rides after m.opts (later options win), so a
-		// legacy *Options value in m.opts cannot erase it.
-		g.result, g.err = engine.RunContext(ctx, st.prog, inputs, m.opts, engine.WithFacts(st.facts))
-		g.done.Store(true)
-	})
-	return g.result, g.err
+	if g.done.Load() {
+		return g.result, g.err
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.done.Load() {
+		return g.result, g.err
+	}
+	inputs, err := m.fetchInputs(ctx)
+	var res *engine.Result
+	if err == nil {
+		res, err = engine.RunContext(ctx, st.prog, inputs, m.withFacts(st)...)
+	}
+	// A FetchError does not wrap its sources' errors, so a cancelled
+	// fetch shows only in the caller's context.
+	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+		(ctx != nil && ctx.Err() != nil)) {
+		return nil, err
+	}
+	g.result, g.err = res, err
+	g.done.Store(true)
+	return res, err
 }
 
 // progState is one program lifetime: the program itself plus the
@@ -312,8 +326,11 @@ func (g *demandGen) storeAsk(key askKey, src string, functors []string, out []An
 // Mediator answers queries over the virtual target of a conversion.
 type Mediator struct {
 	inputs *tree.Store
-	opts   *engine.Options
-	demand bool
+	// engOpts are the engine options every run receives; opts is their
+	// folded form, read for the trace sink and the options hash.
+	engOpts []engine.Option
+	opts    *engine.Options
+	demand  bool
 
 	// sources is the fault-tolerant source layer (WithSources); when
 	// non-empty, materializations fetch and merge these instead of
@@ -350,13 +367,11 @@ type Mediator struct {
 }
 
 // New returns a mediator over the program and sources. Nothing runs
-// until the first query. Options configure the underlying engine runs
-// (a legacy *engine.Options value also works: it satisfies
-// engine.Option); WithDemandDriven selects the evaluation strategy.
+// until the first query. Options configure the underlying engine runs;
+// WithDemandDriven selects the evaluation strategy.
 func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediator {
 	m := &Mediator{inputs: inputs, cur: &progState{
 		prog: prog, gen: &generation{}, facts: engine.AnalyzeProgram(prog), num: 1}}
-	var eng []engine.Option
 	for _, o := range opts {
 		switch o := o.(type) {
 		case demandOption:
@@ -364,10 +379,10 @@ func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediato
 		case sourcesOption:
 			m.sources = append(m.sources, o...)
 		default:
-			eng = append(eng, o)
+			m.engOpts = append(m.engOpts, o)
 		}
 	}
-	m.opts = engine.NewOptions(eng...)
+	m.opts = engine.NewOptions(m.engOpts...)
 	m.cur.progHash = snapshot.HashProgram(prog)
 	m.cur.optsHash = snapshot.HashOptions(m.opts)
 	if m.demand {
@@ -378,6 +393,14 @@ func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediato
 		m.srcErrs = map[string]error{}
 	}
 	return m
+}
+
+// withFacts is the option list of an engine run over st: the
+// mediator's options followed by the program facts, so every run the
+// mediator makes is optimized.
+func (m *Mediator) withFacts(st *progState) []engine.Option {
+	opts := make([]engine.Option, 0, len(m.engOpts)+1)
+	return append(append(opts, m.engOpts...), engine.WithFacts(st.facts))
 }
 
 // state snapshots the current program state. Everything a query does
@@ -485,10 +508,10 @@ func (m *Mediator) fetchInputs(ctx context.Context) (*tree.Store, error) {
 	return merged, nil
 }
 
-// materialize runs the conversion once per generation; concurrent
-// callers block on the same sync.Once and share the outcome. The
-// boolean reports whether the generation was already materialized
-// when the caller arrived (a cache hit for Stats accounting).
+// materialize runs the conversion once per generation (see
+// generation.materialize). The boolean reports whether the generation
+// was already materialized when the caller arrived (a cache hit for
+// Stats accounting).
 func (m *Mediator) materialize(ctx context.Context, st *progState) (*engine.Result, bool, error) {
 	g := st.gen
 	warm := g.done.Load()
@@ -762,7 +785,7 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, functors []s
 			return nil, false, 0, err
 		}
 		sub := st.sliceFor(fs...)
-		res, err := engine.RunSlice(ctx, st.prog, inputs, sub, m.opts, engine.WithFacts(st.facts))
+		res, err := engine.RunSlice(ctx, st.prog, inputs, sub, m.withFacts(st)...)
 		if err != nil {
 			g.lastErr = err
 			return nil, false, 0, err

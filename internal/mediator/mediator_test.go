@@ -1,6 +1,7 @@
 package mediator
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 
 	"yat/internal/compose"
 	"yat/internal/engine"
+	"yat/internal/source"
 	"yat/internal/tree"
 	"yat/internal/workload"
 	"yat/internal/yatl"
@@ -137,6 +139,46 @@ rule R {
 	}
 }
 
+// TestCancelledFirstAskNotCached: a full-mode generation memoizes its
+// materialization, but not one cut short by the first caller's
+// context — that outcome says nothing about the conversion, so the
+// next ask must run it again rather than replay the cancellation.
+func TestCancelledFirstAskNotCached(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name string
+		mk   func() *Mediator
+	}{
+		{"store", func() *Mediator { return newCarMediator(t, 4) }},
+		{"sources", func() *Mediator {
+			prog := yatl.MustParse(yatl.SGMLToODMGSource)
+			return New(prog, nil, WithSources(source.Static("s1", workload.BrochureStore(4, 2, 5, 42))))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.mk()
+			// With sources the cancellation surfaces as a FetchError.
+			if _, err := m.AskContext(cancelled, `X`, "Psup"); err == nil {
+				t.Fatal("cancelled ask succeeded")
+			}
+			if s := m.Stats(); s.Materialized || s.Err != nil {
+				t.Errorf("cancelled run memoized: %+v", s)
+			}
+			answers, err := m.Ask(`X`, "Psup")
+			if err != nil {
+				t.Fatalf("ask after a cancelled one: %v", err)
+			}
+			if len(answers) == 0 {
+				t.Fatal("ask after a cancelled one found nothing")
+			}
+			if s := m.Stats(); !s.Materialized || s.CacheMisses != 2 || s.CacheHits != 0 {
+				t.Errorf("counters after retry: %+v", s)
+			}
+		})
+	}
+}
+
 // TestAskConcurrentWithInvalidate hammers Ask against Invalidate; with
 // -race this is the regression gate for the generation swap. Every
 // query must land on a consistent snapshot and succeed.
@@ -260,7 +302,7 @@ rule R {
 	for i := 0; i < inputs; i++ {
 		store.Put(tree.PlainName(fmt.Sprintf("i%d", i+1)), tree.Sym("in", tree.Str(fmt.Sprintf("v%d", i+1))))
 	}
-	m := New(prog, store, &engine.Options{Registry: reg, Parallelism: 4})
+	m := New(prog, store, engine.WithRegistry(reg), engine.WithParallelism(4))
 
 	var wg sync.WaitGroup
 	counts := make([]int, clients)

@@ -1,18 +1,21 @@
 package mediator
 
 import (
+	"sort"
 	"testing"
 
 	"yat/internal/engine"
+	"yat/internal/pattern"
+	"yat/internal/tree"
 	"yat/internal/workload"
 	"yat/internal/yatl"
 )
 
-// The mediator now computes program facts per generation and runs the
-// engine optimized. This gate compares it, answer for answer, against
-// the same mediator with the optimizer disabled via the
-// WithOptimize(false) escape hatch — full materialization and demand
-// mode, cold and warm (cache-hit) asks, at several parallelism
+// The mediator computes program facts per generation and always runs
+// the engine optimized. This gate compares it, answer for answer,
+// against the same pattern matched over a plain engine.Run without
+// facts — the linear-scan reference — in full materialization and
+// demand mode, cold and warm (cache-hit) asks, at several parallelism
 // settings.
 func TestMediatorOptimizedMatchesUnoptimized(t *testing.T) {
 	cases := []struct {
@@ -29,17 +32,20 @@ func TestMediatorOptimizedMatchesUnoptimized(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			prog := yatl.MustParse(c.src)
+			pt, err := yatl.ParsePattern(c.pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, par := range []int{1, 4, 8} {
+				plain, err := engine.Run(prog, inputs, engine.WithParallelism(par))
+				if err != nil {
+					t.Fatalf("unoptimized @%d: %v", par, err)
+				}
+				want := referenceAnswers(plain.Outputs, pt, c.functors)
+				if len(want) == 0 {
+					t.Fatalf("@%d: vacuous case, the pattern matches nothing", par)
+				}
 				for _, demand := range []bool{false, true} {
-					plain := New(prog, inputs,
-						engine.WithParallelism(par), engine.WithOptimize(false), WithDemandDriven(demand))
-					want, err := plain.Ask(c.pattern, c.functors...)
-					if err != nil {
-						t.Fatalf("unoptimized @%d demand=%v: %v", par, demand, err)
-					}
-					if len(want) == 0 {
-						t.Fatalf("@%d: vacuous case, the pattern matches nothing", par)
-					}
 					opt := New(prog, inputs,
 						engine.WithParallelism(par), WithDemandDriven(demand))
 					got, err := opt.Ask(c.pattern, c.functors...)
@@ -63,6 +69,28 @@ func TestMediatorOptimizedMatchesUnoptimized(t *testing.T) {
 			}
 		})
 	}
+}
+
+// referenceAnswers matches a pattern over a run's outputs the way Ask
+// does: entries of the requested functors (all when none), answers in
+// MergeKey order.
+func referenceAnswers(outputs *tree.Store, pt *pattern.PTree, functors []string) []Answer {
+	want := map[string]bool{}
+	for _, f := range functors {
+		want[f] = true
+	}
+	matcher := &engine.Matcher{Store: outputs}
+	var out []Answer
+	for _, e := range outputs.Entries() {
+		if len(want) > 0 && !want[e.Name.Functor] {
+			continue
+		}
+		for _, b := range matcher.MatchTree(pt, e.Tree) {
+			out = append(out, Answer{Name: e.Name, Binding: b})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].MergeKey() < out[j].MergeKey() })
+	return out
 }
 
 // TestAskMemoIsolation: the demand generation memoizes repeated asks,

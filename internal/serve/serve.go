@@ -72,9 +72,6 @@ type Config struct {
 	// registry, ...). Trace sinks are rejected: tracing is
 	// request-scoped, the pool always runs with a nil sink.
 	Options []engine.Option
-	// Demand selects demand-driven lanes (per-ask slicing + per-rule
-	// caching). Serving wants this on; it defaults to on in New.
-	Demand *bool
 	// Pool is the number of mediator lanes (default 4).
 	Pool int
 	// DrainTimeout bounds the graceful drain of in-flight asks on
@@ -100,10 +97,9 @@ const SnapshotFile = "yatserve.snapshot.json"
 // Askers — local mediators, federation routers and remote shard
 // clients are interchangeable behind the query interface.
 type Server struct {
-	cfg    Config
-	demand bool
-	pool   []mediator.Asker
-	next   atomic.Uint64
+	cfg  Config
+	pool []mediator.Asker
+	next atomic.Uint64
 
 	admin sync.Mutex // serializes reload/refresh across the pool
 
@@ -138,7 +134,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	s := &Server{cfg: cfg, demand: cfg.Demand == nil || *cfg.Demand, start: time.Now()}
+	s := &Server{cfg: cfg, start: time.Now()}
 	if cfg.SnapshotDir != "" {
 		s.snapPath = filepath.Join(cfg.SnapshotDir, SnapshotFile)
 	}
@@ -277,11 +273,11 @@ func (s *Server) snapshotStatus() *wire.SnapshotStatus {
 }
 
 // laneOptions assembles one mediator's option list: the configured
-// engine options, the serving mode, the shared sources, and (for
-// request-scoped tracing only) a sink.
+// engine options, demand-driven evaluation (the only serving mode),
+// the shared sources, and (for request-scoped tracing only) a sink.
 func (s *Server) laneOptions(sink trace.Sink) []engine.Option {
 	opts := append([]engine.Option(nil), s.cfg.Options...)
-	opts = append(opts, mediator.WithDemandDriven(s.demand))
+	opts = append(opts, mediator.WithDemandDriven(true))
 	if len(s.cfg.Sources) > 0 {
 		opts = append(opts, mediator.WithSources(s.cfg.Sources...))
 	}
@@ -578,7 +574,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// The chain counters in a SourceStatus are shared across the pool,
 	// but FetchErr and Entries describe one lane's most recent fetch —
 	// and round-robin means any single lane may never have served an
-	// ask. Fold every lane's view: a source is unhealthy if any lane's
+	// ask. Fold every lane's view, matching sources by name (lanes need
+	// not carry the same sources): a source is unhealthy if any lane's
 	// latest fetch of it failed.
 	views := make([]mediator.Stats, len(s.pool))
 	for i, m := range s.pool {
@@ -587,26 +584,33 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := views[0]
 	status := "ok"
 	var sources []wire.SourceHealth
-	if n := len(st.Sources); n > 0 {
-		failing := 0
-		for i, src := range st.Sources {
-			h := wire.SourceHealth{Name: src.Name, Healthy: true, Breaker: src.BreakerState}
-			for _, v := range views {
-				lane := v.Sources[i]
-				if lane.FetchErr != "" {
-					h.Healthy = false
-					if h.FetchErr == "" {
-						h.FetchErr = lane.FetchErr
-					}
-				}
-				if lane.Entries > h.Entries {
-					h.Entries = lane.Entries
+	at := map[string]int{} // source name → index in sources
+	for _, v := range views {
+		for _, lane := range v.Sources {
+			i, ok := at[lane.Name]
+			if !ok {
+				i = len(sources)
+				at[lane.Name] = i
+				sources = append(sources, wire.SourceHealth{Name: lane.Name, Healthy: true, Breaker: lane.BreakerState})
+			}
+			h := &sources[i]
+			if lane.FetchErr != "" {
+				h.Healthy = false
+				if h.FetchErr == "" {
+					h.FetchErr = lane.FetchErr
 				}
 			}
+			if lane.Entries > h.Entries {
+				h.Entries = lane.Entries
+			}
+		}
+	}
+	if n := len(sources); n > 0 {
+		failing := 0
+		for _, h := range sources {
 			if !h.Healthy {
 				failing++
 			}
-			sources = append(sources, h)
 		}
 		switch failing {
 		case 0:

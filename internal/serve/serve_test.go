@@ -19,6 +19,7 @@ import (
 
 	"yat/internal/engine"
 	"yat/internal/mediator"
+	"yat/internal/serve/wire"
 	"yat/internal/source"
 	"yat/internal/workload"
 	"yat/internal/yatl"
@@ -392,6 +393,55 @@ func TestHealthzAndRefresh(t *testing.T) {
 	}
 	if e := decodeError(t, resp); e.Code != "unknown_source" {
 		t.Fatalf("code %q, want unknown_source", e.Code)
+	}
+}
+
+// Pool lanes need not report the same sources: /healthz folds them by
+// name and skips a lane that lacks a source, whichever lane comes
+// first, instead of indexing every lane by the first lane's list.
+func TestHealthzMixedPoolSources(t *testing.T) {
+	prog := yatl.MustParse(versionedSelective("v1"))
+	store := workload.BrochureStore(6, 2, 5, 11)
+	health := func(t *testing.T, ts *httptest.Server) (int, wire.HealthResponse) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out wire.HealthResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+	for _, sourceFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("source-lane-first=%v", sourceFirst), func(t *testing.T) {
+			flaky := source.NewFault("s1", store)
+			withSource := mediator.New(prog, nil, mediator.WithDemandDriven(true), mediator.WithSources(flaky))
+			without := mediator.New(prog, store, mediator.WithDemandDriven(true))
+			lanes := []mediator.Asker{without, withSource}
+			if sourceFirst {
+				lanes = []mediator.Asker{withSource, without}
+			}
+			_, ts := newTestServer(t, Config{Prog: prog, Askers: lanes})
+			if _, err := withSource.Ask(tagPattern); err != nil {
+				t.Fatal(err)
+			}
+			code, out := health(t, ts)
+			if code != 200 || out.Status != "ok" || len(out.Sources) != 1 ||
+				out.Sources[0].Name != "s1" || !out.Sources[0].Healthy || out.Sources[0].Entries == 0 {
+				t.Fatalf("healthy mixed pool: %d %+v", code, out)
+			}
+			flaky.SetErr(errors.New("s1 down"))
+			_ = withSource.RefreshSource(context.Background(), "s1")
+			_, _ = withSource.Ask(tagPattern)
+			code, out = health(t, ts)
+			if code != http.StatusServiceUnavailable || out.Status != "failing" ||
+				len(out.Sources) != 1 || out.Sources[0].Healthy || out.Sources[0].FetchErr == "" {
+				t.Fatalf("failing mixed pool: %d %+v", code, out)
+			}
+		})
 	}
 }
 

@@ -11,25 +11,17 @@ import (
 	"yat/internal/yatl"
 )
 
-// The functional options and the legacy *RunOptions literal are two
-// spellings of the same configuration: identical outputs, and nil
-// still means defaults.
+// Explicit default options, no options and a nil option are three
+// spellings of the same configuration: identical outputs.
 func TestFunctionalOptionsEquivalent(t *testing.T) {
 	prog, err := ParseProgram(Rules1And2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := workload.BrochureStore(6, 2, 4, 42)
-	legacy, err := Run(prog, inputs, &RunOptions{Registry: NewRegistry(), Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	functional, err := Run(prog, inputs, WithRegistry(NewRegistry()), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if FormatStore(functional.Outputs) != FormatStore(legacy.Outputs) {
-		t.Error("functional options changed the run's outputs")
 	}
 	bare, err := Run(prog, inputs)
 	if err != nil {
@@ -40,7 +32,7 @@ func TestFunctionalOptionsEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if FormatStore(bare.Outputs) != FormatStore(viaNil.Outputs) ||
-		FormatStore(bare.Outputs) != FormatStore(legacy.Outputs) {
+		FormatStore(bare.Outputs) != FormatStore(functional.Outputs) {
 		t.Error("default configurations disagree")
 	}
 }
@@ -56,10 +48,9 @@ func TestRunContextCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
 	}
-	// A live context runs normally, and RunContext overrides a context
-	// smuggled through the deprecated options field.
+	// A live context runs normally.
 	res, err := RunContext(context.Background(), prog, workload.BrochureStore(4, 2, 3, 42),
-		&RunOptions{Context: ctx, Parallelism: 2})
+		WithParallelism(2))
 	if err != nil || res.Outputs.Len() == 0 {
 		t.Errorf("live RunContext failed: %v", err)
 	}

@@ -145,7 +145,7 @@ rule R {
 			}
 			want := fingerprint(seq)
 			for _, par := range []int{2, 4, -1} {
-				res, err := Run(prog, tc.inputs, &RunOptions{Parallelism: par})
+				res, err := Run(prog, tc.inputs, WithParallelism(par))
 				if err != nil {
 					t.Fatalf("parallelism=%d: %v", par, err)
 				}
@@ -170,7 +170,7 @@ func TestParallelPipelineByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := workload.BrochureStore(12, 3, 6, 42)
-	render := func(opts *RunOptions) map[string]string {
+	render := func(opts Option) map[string]string {
 		mid, err := Run(first, inputs, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +190,7 @@ func TestParallelPipelineByteIdentical(t *testing.T) {
 		return pages
 	}
 	want := render(nil)
-	got := render(&RunOptions{Parallelism: 4})
+	got := render(WithParallelism(4))
 	if len(got) != len(want) {
 		t.Fatalf("page count: got %d, want %d", len(got), len(want))
 	}

@@ -83,10 +83,6 @@ type (
 	// Rule is one YATL rule.
 	Rule = yatl.Rule
 
-	// RunOptions configures program execution. Prefer building
-	// configurations from the With* options; a *RunOptions literal
-	// still works anywhere an Option is accepted.
-	RunOptions = engine.Options
 	// Option is one functional configuration item for Run, RunContext,
 	// RunSlice and NewMediator.
 	Option = engine.Option
@@ -166,13 +162,10 @@ var (
 	// WithDisableSafety skips the §3.4 static cycle check.
 	WithDisableSafety = engine.WithDisableSafety
 	// WithFacts supplies precomputed program facts (AnalyzeProgram):
-	// the run then dispatches through the head-symbol index. Output
-	// stays byte-identical to an unoptimized run.
+	// the run then dispatches through the head-symbol index. A run is
+	// optimized exactly when it has facts; its output stays
+	// byte-identical to the same run without them.
 	WithFacts = engine.WithFacts
-	// WithOptimize(true) computes facts at run start (one-shot
-	// convenience); WithOptimize(false) disables every fact-driven
-	// optimization — the debugging escape hatch.
-	WithOptimize = engine.WithOptimize
 	// WithDemandDriven switches NewMediator to demand-driven
 	// evaluation: queries materialize only the rule slices they need,
 	// memoized per rule with fine-grained invalidation.
@@ -300,12 +293,6 @@ var (
 // InstantiateOptions configures program instantiation/composition.
 type InstantiateOptions = compose.Options
 
-// ComposeOptions configures composition. The struct form is legacy:
-// it doubles as a ComposeOption that replaces the configuration
-// wholesale, so pre-variadic call sites — including a literal nil —
-// still compile and behave.
-type ComposeOptions = compose.ComposeOptions
-
 // ComposeOption is one functional configuration item for
 // ComposePrograms, in the same style as the Run/NewMediator options.
 type ComposeOption = compose.ComposeOption
@@ -333,8 +320,7 @@ func Combine(name string, progs ...*Program) *Program {
 
 // ComposePrograms fuses prg1 : M1 ↦ M2 and prg2 : M2' ↦ M3 into a
 // one-step M1 ↦ M3 program (§4.3). Options are variadic: pass
-// WithSkipTypeCheck and friends, or a legacy *ComposeOptions struct
-// (including nil) which is itself an option.
+// WithSkipTypeCheck and friends.
 func ComposePrograms(prg1, prg2 *Program, opts ...ComposeOption) (*Program, error) {
 	return compose.Compose(prg1, prg2, opts...)
 }
@@ -568,8 +554,8 @@ var (
 	SourceStatsOf = source.StatsOf
 )
 
-// Observability (the internal/trace layer). Attach a sink through
-// RunOptions.Trace; a nil sink costs nothing.
+// Observability (the internal/trace layer). Attach a sink with
+// WithTrace; a nil sink costs nothing.
 type (
 	// TraceSink consumes typed engine events; implementations must be
 	// safe for concurrent use when Parallelism > 1.
@@ -586,7 +572,7 @@ type (
 // NewTraceProfile returns an empty profile ready to attach to a run:
 //
 //	p := yat.NewTraceProfile()
-//	res, err := yat.Run(prog, inputs, &yat.RunOptions{Trace: p})
+//	res, err := yat.Run(prog, inputs, yat.WithTrace(p))
 //	fmt.Print(p.Text(true)) // EXPLAIN table with wall times
 var NewTraceProfile = trace.NewProfile
 
