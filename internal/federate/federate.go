@@ -200,9 +200,10 @@ func (f *Federation) Ask(patternSrc string, functors ...string) ([]mediator.Answ
 // process — degrades the result to the healthy shards' answers;
 // only when every contacted shard fails does the Ask error (a
 // FanoutError). The merged order is byte-identical to a single
-// mediator over the unsharded program: answers sort by the same
-// canonical MergeKey doAsk orders by, and no key collides across
-// shards because each functor group is answered by exactly one.
+// mediator over the unsharded program: each child's stream is already
+// in the MergeKey order doAsk sorts by, the merge interleaves them by
+// that key, and no key collides across shards because each functor
+// group is answered by exactly one.
 func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors ...string) ([]mediator.Answer, error) {
 	type target struct {
 		c  *fedChild
@@ -277,36 +278,58 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 	wg.Wait()
 
 	failed := map[string]error{}
-	var merged []mediator.Answer
+	var streams [][]mediator.Answer
 	for i, t := range targets {
 		if errs[i] != nil {
 			failed[t.c.name] = errs[i]
 			continue
 		}
-		merged = append(merged, results[i]...)
+		streams = append(streams, results[i])
 	}
 	if len(targets) > 0 && len(failed) == len(targets) {
 		return nil, &FanoutError{Errs: failed}
 	}
-	if len(merged) > 1 && len(targets) > 1 {
-		// Precompute keys once: MergeKey allocates, and the comparator
-		// runs O(n log n) times.
-		keys := make([]string, len(merged))
-		for i := range merged {
-			keys[i] = merged[i].MergeKey()
-		}
-		idx := make([]int, len(merged))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-		out := make([]mediator.Answer, len(merged))
-		for i, j := range idx {
-			out[i] = merged[j]
-		}
-		merged = out
+	return mergeStreams(streams), nil
+}
+
+// mergeStreams merges the children's answer streams, each already in
+// MergeKey order, into one sorted stream in a single linear pass. On
+// equal keys the earlier stream wins, as a stable sort of the
+// concatenation would have it. Each answer's key is read once: local
+// children hand out cached keys, remote ones their wire keys.
+func mergeStreams(streams [][]mediator.Answer) []mediator.Answer {
+	switch len(streams) {
+	case 0:
+		return nil
+	case 1:
+		return streams[0]
 	}
-	return merged, nil
+	n := 0
+	for _, s := range streams {
+		n += len(s)
+	}
+	out := make([]mediator.Answer, 0, n)
+	heads := make([]string, len(streams))
+	for i, s := range streams {
+		if len(s) > 0 {
+			heads[i] = s[0].MergeKey()
+		}
+	}
+	for len(out) < n {
+		best := -1
+		for i, s := range streams {
+			if len(s) > 0 && (best < 0 || heads[i] < heads[best]) {
+				best = i
+			}
+		}
+		s := streams[best]
+		out = append(out, s[0])
+		streams[best] = s[1:]
+		if len(s) > 1 {
+			heads[best] = s[1].MergeKey()
+		}
+	}
+	return out
 }
 
 // Functors gathers the union of the children's functor sets, sorted.

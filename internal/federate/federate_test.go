@@ -446,3 +446,53 @@ func TestFunctorsUnion(t *testing.T) {
 		t.Errorf("Functors() = %v, want %v", fs, want)
 	}
 }
+
+// TestAnswerOrderOneDefinition checks that doAsk's order, MergeKey
+// order and the federation's merged order are one sequence. The store
+// carries a Symbol whose text holds a NUL byte: the Skolem name minted
+// from it has the name minted from "a" as a prefix followed by NUL,
+// where comparing (name key, binding key) pairs and comparing the
+// NUL-joined MergeKeys disagree — so a single mediator and a
+// federation could order the same answers differently unless both
+// sort by the one key.
+func TestAnswerOrderOneDefinition(t *testing.T) {
+	prog := yatl.MustParse(`program nulorder
+rule A {
+  head Pa(X) = item < -> name -> X >
+  from R = entry < -> name -> X >
+}
+rule B {
+  head Pb(X) = item < -> name -> X >
+  from R = entry < -> name -> X >
+}
+`)
+	inputs := tree.NewStore()
+	for i, sym := range []string{"b", "a)\x00A", "a", "a)", "A"} {
+		inputs.Put(tree.PlainName(fmt.Sprintf("e%d", i)),
+			tree.Sym("entry", tree.Sym("name", tree.New(tree.Symbol(sym)))))
+	}
+	const pattern = `item < -> name -> N >`
+	single := mediator.New(prog, inputs, mediator.WithDemandDriven(true))
+	answers, err := single.Ask(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(answers) != 10 {
+		t.Fatalf("got %d answers, want 10", len(answers))
+	}
+	keys := make([]string, len(answers))
+	for i := range answers {
+		keys[i] = answers[i].MergeKey()
+	}
+	if !sort.StringsAreSorted(keys) {
+		t.Errorf("doAsk order is not MergeKey order: %q", keys)
+	}
+	want := renderAnswers(answers)
+	fed, err := New(Config{Programs: []*yatl.Program{prog}, Shards: 2, Inputs: inputs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustAsk(t, fed, pattern); !reflect.DeepEqual(got, want) {
+		t.Errorf("federated order diverged from the single mediator:\n got %q\nwant %q", got, want)
+	}
+}

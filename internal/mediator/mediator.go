@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -559,17 +560,32 @@ type Answer struct {
 	// child's exact sort order even if a display form failed to
 	// round-trip; locally produced answers leave it empty.
 	WireKey string `json:"-"`
+	// key caches MergeKey. doAsk (and the snapshot restore that
+	// rebuilds the ask memo) sets it, so a memoized answer carries its
+	// key to every later ask, the wire writer and the federation merge.
+	key string
 }
 
-// MergeKey is the canonical (Name, Binding) sort key doAsk orders
-// answers by, shared with the federation's cross-shard merge. The NUL
-// separator cannot occur inside either component key (both render
-// strings Go-quoted), so concatenation stays injective.
+// MergeKey is the canonical (Name, Binding) sort key: the one answer
+// order doAsk sorts by and the federation's cross-shard merge
+// preserves. It never returns "" (the NUL separator is always there),
+// which is what lets the empty string mark an uncached key.
 func (a *Answer) MergeKey() string {
+	if a.key != "" {
+		return a.key
+	}
 	if a.WireKey != "" {
 		return a.WireKey
 	}
 	return a.Name.Key() + "\x00" + a.Binding.Key()
+}
+
+// sortAnswers caches every answer's MergeKey and sorts by it, stably.
+func sortAnswers(out []Answer) {
+	for i := range out {
+		out[i].key = out[i].MergeKey()
+	}
+	slices.SortStableFunc(out, func(a, b Answer) int { return strings.Compare(a.key, b.key) })
 }
 
 // Ask matches a pattern (in YATL concrete syntax) against the virtual
@@ -724,14 +740,7 @@ func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, fun
 			out = append(out, Answer{Name: e.Name, Binding: b})
 		}
 	}
-	if len(out) > 1 {
-		sort.SliceStable(out, func(i, j int) bool {
-			if k := out[i].Name.Key(); k != out[j].Name.Key() {
-				return k < out[j].Name.Key()
-			}
-			return out[i].Binding.Key() < out[j].Binding.Key()
-		})
-	}
+	sortAnswers(out)
 	if memoGen != nil {
 		memoGen.storeAsk(memoKey, src, functors, out, memoVer)
 	}

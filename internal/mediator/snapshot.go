@@ -223,6 +223,9 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 			}
 			answers = append(answers, Answer{Name: name, Binding: binding})
 		}
+		// Restored answers leave the memo exactly as doAsk stores them:
+		// keys cached, in MergeKey order.
+		sortAnswers(answers)
 		key := askKey{pt: pt, functors: strings.Join(me.Functors, "\x00")}
 		g.askMemo[key] = memoVal{answers: answers, src: me.Pattern,
 			functors: append([]string(nil), me.Functors...)}

@@ -35,6 +35,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -411,27 +412,6 @@ type (
 	AskResponse = wire.AskResponse
 )
 
-// wireAnswers renders answers for the wire; withKeys adds each
-// answer's canonical merge key (?keys=1 — the shard client always
-// asks, so a parent federation can merge by the producer's order).
-func wireAnswers(answers []mediator.Answer, withKeys bool) []AskAnswer {
-	out := make([]AskAnswer, 0, len(answers))
-	for _, a := range answers {
-		wa := AskAnswer{Name: a.Name.String()}
-		if len(a.Binding) > 0 {
-			wa.Binding = make(map[string]string, len(a.Binding))
-			for k, v := range a.Binding {
-				wa.Binding[k] = v.Display()
-			}
-		}
-		if withKeys {
-			wa.Key = a.MergeKey()
-		}
-		out = append(out, wa)
-	}
-	return out
-}
-
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -452,8 +432,9 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 			"error": {Code: "bad_request", Message: `"pattern" is required`}})
 		return
 	}
-	if r.URL.Query().Get("explain") == "1" {
-		s.explainAsk(w, r, req.Pattern, req.Functors)
+	q := r.URL.Query()
+	if q.Get("explain") == "1" {
+		s.explainAsk(w, r, q, req.Pattern, req.Functors)
 		return
 	}
 	med := s.lane()
@@ -463,19 +444,17 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	// Without a profile rendering cannot fail.
+	resp, _ := renderAsk(generationOf(med), answers, q.Get("keys") == "1", nil)
 	s.served.Add(1)
-	writeJSON(w, http.StatusOK, AskResponse{
-		Generation: generationOf(med),
-		Count:      len(answers),
-		Answers:    wireAnswers(answers, r.URL.Query().Get("keys") == "1"),
-	})
+	writeBody(w, resp)
 }
 
 // explainAsk serves one ask under a request-scoped profile: a fresh
 // mediator over the current program with its own trace.Profile, so
 // the EXPLAIN covers exactly this request (cold, slices and cache
 // decisions visible) and the pool's nil-sink lanes stay untouched.
-func (s *Server) explainAsk(w http.ResponseWriter, r *http.Request, pattern string, functors []string) {
+func (s *Server) explainAsk(w http.ResponseWriter, r *http.Request, q url.Values, pattern string, functors []string) {
 	prog := s.program()
 	if prog == nil {
 		// Askers-only servers over remote lanes have no local program to
@@ -486,7 +465,7 @@ func (s *Server) explainAsk(w http.ResponseWriter, r *http.Request, pattern stri
 				Message: "EXPLAIN needs a local program; this server fronts opaque askers"}})
 		return
 	}
-	timing := r.URL.Query().Get("timing") == "1"
+	timing := q.Get("timing") == "1"
 	profile := trace.NewProfile()
 	med := mediator.New(prog, s.cfg.Inputs, s.laneOptions(profile)...)
 	answers, err := med.AskContext(r.Context(), pattern, functors...)
@@ -501,13 +480,14 @@ func (s *Server) explainAsk(w http.ResponseWriter, r *http.Request, pattern stri
 		writeError(w, err)
 		return
 	}
+	body, err := renderAsk(med.Generation(), answers, q.Get("keys") == "1", data)
+	if err != nil {
+		s.failed.Add(1)
+		writeError(w, err)
+		return
+	}
 	s.served.Add(1)
-	writeJSON(w, http.StatusOK, AskResponse{
-		Generation: med.Generation(),
-		Count:      len(answers),
-		Answers:    wireAnswers(answers, r.URL.Query().Get("keys") == "1"),
-		Profile:    data,
-	})
+	writeBody(w, body)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -516,6 +496,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	pattern := q.Get("pattern")
 	if pattern == "" {
+		s.failed.Add(1)
 		writeJSON(w, http.StatusBadRequest, map[string]errorBody{
 			"error": {Code: "bad_request", Message: `"pattern" query parameter is required`}})
 		return
@@ -526,7 +507,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			functors = append(functors, f)
 		}
 	}
-	s.explainAsk(w, r, pattern, functors)
+	s.explainAsk(w, r, q, pattern, functors)
 }
 
 func (s *Server) handleFunctors(w http.ResponseWriter, r *http.Request) {

@@ -125,6 +125,13 @@ func TestAskEndpoint(t *testing.T) {
 
 func TestAskErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	// failed reads the server's failure counter from GET /stats.
+	failed := func(t *testing.T) int64 {
+		t.Helper()
+		var stats wire.StatsResponse
+		getJSON(t, ts.URL+"/stats?timing=0", &stats)
+		return stats.Server.Failed
+	}
 	t.Run("bad-pattern", func(t *testing.T) {
 		resp, _ := postAsk(t, ts.URL, AskRequest{Pattern: "view < -> oops"})
 		if resp.StatusCode != http.StatusBadRequest {
@@ -135,12 +142,32 @@ func TestAskErrors(t *testing.T) {
 		}
 	})
 	t.Run("missing-pattern", func(t *testing.T) {
+		before := failed(t)
 		resp, _ := postAsk(t, ts.URL, AskRequest{})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status %d, want 400", resp.StatusCode)
 		}
 		if e := decodeError(t, resp); e.Code != "bad_request" {
 			t.Fatalf("code %q, want bad_request", e.Code)
+		}
+		if got := failed(t); got != before+1 {
+			t.Fatalf("failed counter %d, want %d", got, before+1)
+		}
+	})
+	t.Run("explain-missing-pattern", func(t *testing.T) {
+		before := failed(t)
+		resp, err := http.Get(ts.URL + "/explain?functors=Pview1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", resp.StatusCode)
+		}
+		if e := decodeError(t, resp); e.Code != "bad_request" {
+			t.Fatalf("code %q, want bad_request", e.Code)
+		}
+		if got := failed(t); got != before+1 {
+			t.Fatalf("failed counter %d, want %d", got, before+1)
 		}
 	})
 	t.Run("non-json-body", func(t *testing.T) {

@@ -29,11 +29,23 @@ func (n Name) String() string {
 	if n.IsPlain() {
 		return n.Functor
 	}
-	parts := make([]string, len(n.Args))
-	for i, a := range n.Args {
-		parts[i] = a.Display()
+	return string(n.AppendString(make([]byte, 0, 32)))
+}
+
+// AppendString appends the String form of the name to dst.
+func (n Name) AppendString(dst []byte) []byte {
+	dst = append(dst, n.Functor...)
+	if n.IsPlain() {
+		return dst
 	}
-	return n.Functor + "(" + strings.Join(parts, ", ") + ")"
+	dst = append(dst, '(')
+	for i, a := range n.Args {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = AppendDisplay(dst, a)
+	}
+	return append(dst, ')')
 }
 
 // Key returns a canonical map key for the name. Two names are equal

@@ -119,6 +119,22 @@ func (f Float) Display() string {
 // Display implements Value.
 func (b Bool) Display() string { return strconv.FormatBool(bool(b)) }
 
+// AppendDisplay appends v.Display() to dst, without the intermediate
+// string for the symbol, string, int and reference kinds.
+func AppendDisplay(dst []byte, v Value) []byte {
+	switch x := v.(type) {
+	case Symbol:
+		return append(dst, x...)
+	case String:
+		return strconv.AppendQuote(dst, string(x))
+	case Int:
+		return strconv.AppendInt(dst, int64(x), 10)
+	case Ref:
+		return x.Name.AppendString(append(dst, '&'))
+	}
+	return append(dst, v.Display()...)
+}
+
 // Equal implements Value.
 func (s Symbol) Equal(v Value) bool { o, ok := v.(Symbol); return ok && o == s }
 
